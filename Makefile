@@ -10,15 +10,17 @@ all: build vet test
 build:
 	$(GO) build ./...
 
+# vet is the static gate: go vet, and gofmt -l must list no file.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "vet: gofmt -l lists unformatted files:"; echo "$$unformatted"; exit 1; fi
 
 # test is the tier-1 gate: vet, the full suite, and the race detector
 # over the concurrent table (whose seqlock read path and online
 # expansion only a -race run can meaningfully exercise) plus the paged
 # native backend and the network layer built on top of it.
-test:
-	$(GO) vet ./...
+test: vet
 	$(GO) test ./...
 	$(GO) test -race ./internal/core ./internal/engine ./internal/server ./internal/client ./internal/native
 
@@ -29,16 +31,19 @@ race: torture fuzz-smoke chaos-smoke
 # torture is the durability gate: the in-process crash-torture test
 # (deterministic kill points: mid-group-commit, mid-rotation,
 # mid-snapshot, mid-replay; torn log tails; legacy and adaptive
-# commit modes) under the race detector, plus ghtorture SIGKILLing a
-# real serving process and auditing every acked write for exactly-once
-# survival — swept across the (T, B) group-commit matrix: synchronous,
-# the 100µs/64KiB default, and a wide 1ms/256KiB window, the latter
-# two with preallocated segments so kills land in zero-filled tails.
+# commit modes) under the race detector, plus ghchaos killing a real
+# serving flagship on its seeded schedule (SIGKILL on every event kind
+# but drain) and auditing every acked write for exactly-once survival —
+# swept across the (T, B) group-commit matrix: synchronous, the
+# 100µs/64KiB default, and a wide 1ms/256KiB window, the latter two
+# with preallocated segments so kills land in zero-filled tails. The
+# small capacity forces online expansions, and a StatusFull from the
+# flagship is fatal.
 torture:
 	$(GO) test -race -run 'CrashTorture' -count=1 ./internal/server
-	$(GO) run -race ./cmd/ghtorture -cycles 20
-	$(GO) run -race ./cmd/ghtorture -cycles 12 -sync-every 100us -sync-bytes 65536 -prealloc 1048576
-	$(GO) run -race ./cmd/ghtorture -cycles 12 -sync-every 1ms -sync-bytes 262144 -prealloc 1048576
+	$(GO) run -race ./cmd/ghchaos -engine grouphash -capacity 4096 -cycles 20 -sync-every 0 -sync-bytes 0
+	$(GO) run -race ./cmd/ghchaos -engine grouphash -capacity 4096 -cycles 12 -sync-every 100us -sync-bytes 65536 -prealloc 1048576
+	$(GO) run -race ./cmd/ghchaos -engine grouphash -capacity 4096 -cycles 12 -sync-every 1ms -sync-bytes 262144 -prealloc 1048576
 
 # chaos-smoke is the randomized-schedule gate: 21 seeded schedules
 # (flagship + both logged comparison engines × seven seeds) of six
@@ -53,10 +58,9 @@ chaos-smoke:
 	$(GO) test -race -count=1 -timeout 240s -run 'TestChaosMatrix|TestScheduleDeterminism' ./internal/chaos
 
 # soak is the opt-in real-process arm of the chaos matrix: ghchaos
-# wraps ghtorture's supervisor/SIGKILL machinery around the same
-# schedule generator — real child processes, real SIGKILL and SIGTERM,
-# power-failure garbage on the live oplog segment — across the engine
-# seam. Bounded here; pass -duration for an open-ended soak, e.g.
+# drives the same schedule generator against real child processes —
+# real SIGKILL and SIGTERM, power-failure garbage on the live oplog
+# segment — across the engine seam, comparison schemes included. Bounded here; pass -duration for an open-ended soak, e.g.
 #   go run ./cmd/ghchaos -duration 30m -engine grouphash -capacity 4096
 soak:
 	$(GO) run ./cmd/ghchaos -cycles 20 -engine grouphash -capacity 4096 -seed 1

@@ -194,7 +194,7 @@ func batchCell(workload string, conns, frame, warmOps, ops int, noCoalesce bool)
 	if err != nil {
 		panic(err)
 	}
-	srv, err := server.New(server.Config{Store: st, Oplog: lg, DisableCoalescing: noCoalesce})
+	srv, err := server.New(server.Config{Engine: st, Oplog: lg, DisableCoalescing: noCoalesce})
 	if err != nil {
 		panic(err)
 	}

@@ -11,6 +11,7 @@ package engine
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"path/filepath"
 	"strings"
@@ -225,11 +226,11 @@ func TestConformanceApplyBatch(t *testing.T) {
 			t.Fatal(err)
 		}
 		ops := []core.BatchOp{
-			{Kind: core.BatchPut, Key: key(1), Value: 11},    // upsert existing → Found
-			{Kind: core.BatchPut, Key: key(2), Value: 22},    // fresh put
-			{Kind: core.BatchInsert, Key: key(3), Value: 33}, // insert
-			{Kind: core.BatchDelete, Key: key(2)},            // delete just-written (same batch)
-			{Kind: core.BatchDelete, Key: key(99)},           // delete absent → NOT applied
+			{Kind: core.BatchPut, Key: key(1), Value: 11},      // upsert existing → Found
+			{Kind: core.BatchPut, Key: key(2), Value: 22},      // fresh put
+			{Kind: core.BatchInsert, Key: key(3), Value: 33},   // insert
+			{Kind: core.BatchDelete, Key: key(2)},              // delete just-written (same batch)
+			{Kind: core.BatchDelete, Key: key(99)},             // delete absent → NOT applied
 			{Kind: core.BatchPut, Key: layout.Key{}, Value: 1}, // zero key → error
 		}
 		out := make([]core.BatchResult, len(ops))
@@ -290,28 +291,47 @@ func TestConformanceApplyBatch(t *testing.T) {
 	})
 }
 
+// TestConformanceHooks checks the commit hook a mutation takes when the
+// server applies it uncoalesced: each op is its own batch of one, and
+// only the three mutating ops (put, insert, present delete) may reach
+// committed — an absent delete or a rejected key has nothing to log.
 func TestConformanceHooks(t *testing.T) {
 	forEachEngine(t, func(t *testing.T, spec Spec, e Engine) {
+		singles := []struct {
+			op      core.BatchOp
+			want    core.BatchResult
+			applied string // what committed must see
+		}{
+			{core.BatchOp{Kind: core.BatchPut, Key: key(1), Value: 1}, core.BatchResult{}, "[0]"},
+			{core.BatchOp{Kind: core.BatchInsert, Key: key(2), Value: 2}, core.BatchResult{}, "[0]"},
+			{core.BatchOp{Kind: core.BatchDelete, Key: key(2)}, core.BatchResult{Found: true}, "[0]"},
+			{core.BatchOp{Kind: core.BatchDelete, Key: key(99)}, core.BatchResult{}, "[]"},
+			{core.BatchOp{Kind: core.BatchPut, Key: layout.Key{}, Value: 1}, core.BatchResult{Err: hashtab.ErrInvalidKey}, "[]"},
+		}
+		var sc core.BatchScratch
 		fired := 0
-		hook := func() { fired++ }
-		if err := e.PutHook(key(1), 1, hook); err != nil || fired != 1 {
-			t.Fatalf("PutHook: err=%v fired=%d", err, fired)
-		}
-		if err := e.InsertHook(key(2), 2, hook); err != nil || fired != 2 {
-			t.Fatalf("InsertHook: err=%v fired=%d", err, fired)
-		}
-		if !e.DeleteHook(key(2), hook) || fired != 3 {
-			t.Fatalf("DeleteHook(present): fired=%d", fired)
-		}
-		// Non-mutations must not fire the hook: nothing to log.
-		if e.DeleteHook(key(99), hook) {
-			t.Fatal("DeleteHook(absent) = true")
-		}
-		if err := e.PutHook(layout.Key{}, 1, hook); !errors.Is(err, hashtab.ErrInvalidKey) {
-			t.Fatalf("PutHook(zero) = %v, want ErrInvalidKey", err)
+		for i, c := range singles {
+			var one [1]core.BatchResult
+			got := []int{}
+			e.ApplyBatch([]core.BatchOp{c.op}, one[:], &sc, func(idx []int) {
+				fired++
+				got = append(got, idx...)
+			})
+			if one[0].Found != c.want.Found || !errors.Is(one[0].Err, c.want.Err) {
+				t.Errorf("single %d (%+v) = %+v, want %+v", i, c.op, one[0], c.want)
+			}
+			if fmt.Sprint(got) != c.applied {
+				t.Errorf("single %d (%+v): committed saw %v, want %s", i, c.op, got, c.applied)
+			}
 		}
 		if fired != 3 {
 			t.Fatalf("hook fired %d times, want 3 (non-mutations must not fire)", fired)
+		}
+		if v, ok := e.Get(key(1)); !ok || v != 1 {
+			t.Errorf("Get(1) = (%d, %t), want (1, true)", v, ok)
+		}
+		if e.Len() != 1 {
+			t.Errorf("Len after singles = %d, want 1", e.Len())
 		}
 		requireClean(t, e)
 	})

@@ -1,7 +1,9 @@
 package server
 
 import (
+	"bytes"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -28,14 +30,14 @@ func TestServeBatchFrame(t *testing.T) {
 	subs := []wire.Request{
 		{Op: wire.OpPut, Key: layout.Key{Lo: 1}, Value: 10},
 		{Op: wire.OpInsert, Key: layout.Key{Lo: 2}, Value: 20},
-		{Op: wire.OpGet, Key: layout.Key{Lo: 1}},    // must see sub-op 0
+		{Op: wire.OpGet, Key: layout.Key{Lo: 1}}, // must see sub-op 0
 		{Op: wire.OpPut, Key: layout.Key{Lo: 1}, Value: 11},
 		{Op: wire.OpGet, Key: layout.Key{Lo: 1}},    // must see sub-op 3
 		{Op: wire.OpDelete, Key: layout.Key{Lo: 9}}, // absent
 		{Op: wire.OpDelete, Key: layout.Key{Lo: 2}},
 		{Op: wire.OpPut, Key: layout.Key{}, Value: 1}, // invalid zero key
-		{Op: wire.OpStats},                            // not batchable
-		{Op: wire.OpBatch},                            // nested batch
+		{Op: wire.OpStats}, // not batchable
+		{Op: wire.OpBatch}, // nested batch
 		{Op: wire.OpLen},
 		{Op: wire.OpPing},
 	}
@@ -170,6 +172,76 @@ func TestServeCoalescedAmortisation(t *testing.T) {
 	}
 	if resps[3].Status != wire.StatusNotFound {
 		t.Fatalf("get after coalesced delete = %+v", resps[3])
+	}
+}
+
+// TestServeCoalescingOnOff serves the same pipelined mutation sequence
+// once coalesced and once with Config.DisableCoalescing, where every
+// mutation is applied on its own as a run of one. Both must answer the
+// same statuses, leave the same Len and log the same oplog records.
+func TestServeCoalescingOnOff(t *testing.T) {
+	seq := []wire.Request{
+		{Op: wire.OpPut, Key: layout.Key{Lo: 1}, Value: 10},
+		{Op: wire.OpInsert, Key: layout.Key{Lo: 2}, Value: 20},
+		{Op: wire.OpDelete, Key: layout.Key{Lo: 2}},   // present
+		{Op: wire.OpDelete, Key: layout.Key{Lo: 9}},   // absent
+		{Op: wire.OpPut, Key: layout.Key{}, Value: 1}, // invalid zero key
+	}
+	type outcome struct {
+		statuses []byte
+		n        uint64
+		recs     []oplog.Record
+	}
+	serve := func(disable bool) outcome {
+		base := filepath.Join(t.TempDir(), "oplog")
+		lg, err := oplog.Open(base, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, addr := startServer(t, grouphash.Options{Capacity: 1 << 12},
+			Config{Oplog: lg, DisableCoalescing: disable})
+		c := dial(t, addr)
+		resps, err := c.Do(seq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var o outcome
+		for _, r := range resps {
+			o.statuses = append(o.statuses, r.Status)
+		}
+		if o.n, err = c.Len(); err != nil {
+			t.Fatal(err)
+		}
+		if disable {
+			// Every mutation, failed ones included, went through
+			// ApplyBatch alone: five runs of exactly one op.
+			if h := s.coalesceSize.Snapshot(); h.Count != 5 || h.Sum != 5 {
+				t.Errorf("uncoalesced runs: count=%d ops=%d, want 5 runs of one", h.Count, h.Sum)
+			}
+		}
+		if err := s.Drain(); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := oplog.Scan(base, 0, func(r oplog.Record) error {
+			o.recs = append(o.recs, r)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return o
+	}
+	on, off := serve(false), serve(true)
+	if want := []byte{wire.StatusOK, wire.StatusOK, wire.StatusOK, wire.StatusNotFound, wire.StatusInvalidKey}; !bytes.Equal(on.statuses, want) {
+		t.Errorf("coalesced statuses = %v, want %v", on.statuses, want)
+	}
+	if !bytes.Equal(off.statuses, on.statuses) {
+		t.Errorf("uncoalesced statuses = %v, coalesced = %v", off.statuses, on.statuses)
+	}
+	if on.n != 1 || off.n != on.n {
+		t.Errorf("Len coalesced = %d, uncoalesced = %d, want 1", on.n, off.n)
+	}
+	if len(on.recs) != 3 || !reflect.DeepEqual(off.recs, on.recs) {
+		t.Errorf("oplog records:\ncoalesced   %+v\nuncoalesced %+v\nwant the put, the insert and the present delete in both", on.recs, off.recs)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"grouphash"
 	"grouphash/internal/engine"
 	"grouphash/internal/layout"
 )
@@ -39,13 +38,6 @@ func TestEngineConfigValidation(t *testing.T) {
 	eng, err := engine.New(engine.Spec{Name: "pfht", Capacity: 1 << 10})
 	if err != nil {
 		t.Fatal(err)
-	}
-	st, err := grouphash.New(grouphash.Options{Capacity: 1 << 10, Concurrent: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := New(Config{Engine: eng, Store: st}); err == nil {
-		t.Fatal("New with both Engine and Store must fail")
 	}
 	if _, err := New(Config{Engine: eng}); err != nil {
 		t.Fatalf("New with an adapter engine: %v", err)

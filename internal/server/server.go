@@ -68,14 +68,11 @@ import (
 
 // Config configures a Server.
 type Config struct {
-	// Engine is the storage engine to serve — the flagship group-hash
-	// store or any internal/engine adapter. Exactly one of Engine and
-	// Store must be set.
+	// Engine is the storage engine to serve (required) — the flagship
+	// group-hash store or any internal/engine adapter. A flagship
+	// *grouphash.Store must have been built with Options.Concurrent
+	// (every connection gets its own goroutine).
 	Engine engine.Engine
-	// Store is the flagship store to serve, a convenience alias for
-	// Engine (the store IS an engine). It must have been built with
-	// Options.Concurrent (every connection gets its own goroutine).
-	Store *grouphash.Store
 	// SnapshotPath, when non-empty, enables snapshots: a final image
 	// on Drain, plus periodic background images every SnapshotEvery.
 	SnapshotPath string
@@ -84,7 +81,7 @@ type Config struct {
 	SnapshotEvery time.Duration
 	// Oplog, when non-nil, is the operation log every mutating request
 	// is made durable on before it is acked. The caller opens it
-	// (after replaying it into Store) and the server takes ownership:
+	// (after replaying it into Engine) and the server takes ownership:
 	// Drain closes it. See cmd/ghserver for the recovery sequence.
 	Oplog *oplog.Log
 	// Registry, when non-nil, is where the server registers its metrics
@@ -141,7 +138,7 @@ type Metrics struct {
 // crash).
 type Server struct {
 	cfg  Config
-	eng  engine.Engine // resolved from cfg.Engine / cfg.Store
+	eng  engine.Engine // cfg.Engine
 	ln   net.Listener
 	logf func(string, ...any)
 
@@ -151,7 +148,7 @@ type Server struct {
 	// snapMu serialises snapshot saves (periodic ticker vs final drain).
 	// Writers no longer take any server-global lock: each mutation runs
 	// its oplog append inside the store's own per-stripe critical
-	// section (PutHook and friends), and the snapshot path reads its
+	// section (ApplyBatch's commit hook), and the snapshot path reads its
 	// oplog mark via SnapshotWriterAt with every stripe held — the same
 	// applied==appended guarantee the old global RWMutex provided,
 	// without a process-wide writer convoy.
@@ -189,16 +186,11 @@ type Server struct {
 // New validates cfg and builds a Server (not yet listening).
 func New(cfg Config) (*Server, error) {
 	eng := cfg.Engine
-	switch {
-	case eng == nil && cfg.Store == nil:
-		return nil, fmt.Errorf("server: one of Config.Engine or Config.Store is required")
-	case eng != nil && cfg.Store != nil:
-		return nil, fmt.Errorf("server: Config.Engine and Config.Store are mutually exclusive")
-	case eng == nil:
-		if !cfg.Store.Concurrent() {
-			return nil, fmt.Errorf("server: the store must be built with Options.Concurrent")
-		}
-		eng = cfg.Store
+	if eng == nil {
+		return nil, fmt.Errorf("server: Config.Engine is required")
+	}
+	if st, ok := eng.(*grouphash.Store); ok && !st.Concurrent() {
+		return nil, fmt.Errorf("server: the store must be built with Options.Concurrent")
 	}
 	logf := cfg.Logf
 	if logf == nil {
@@ -630,7 +622,7 @@ func (s *Server) handle(conn net.Conn) {
 			var pr pendingResp
 			if timing {
 				start := time.Now()
-				pr.resp, pr.lsn = s.dispatch(req)
+				pr.resp = s.dispatch(req)
 				op := int(req.Op)
 				if op >= len(s.opLat) {
 					op = 0
@@ -639,7 +631,7 @@ func (s *Server) handle(conn net.Conn) {
 				s.bytesRead.Add(4 + wire.ReqBodyLen)
 				s.bytesWritten.Add(uint64(4 + wire.RespFixedLen + len(pr.resp.Extra)))
 			} else {
-				pr.resp, pr.lsn = s.dispatch(req)
+				pr.resp = s.dispatch(req)
 			}
 			pc.resps = append(pc.resps, pr)
 		}
@@ -749,86 +741,32 @@ func (s *Server) acker(conn net.Conn, queue <-chan *pendingChunk, done chan<- st
 	}
 }
 
-// dispatch executes one request against the store, returning the
-// response and, for a logged mutation, the oplog LSN the ack must wait
-// for.
-func (s *Server) dispatch(req wire.Request) (wire.Response, uint64) {
+// dispatch executes one non-mutating request against the store.
+// Mutations never come here: the serving loop stages them for
+// batchState's ApplyBatch path.
+func (s *Server) dispatch(req wire.Request) wire.Response {
 	st := s.eng
 	switch req.Op {
 	case wire.OpPing:
 		s.others.Inc()
-		return wire.Response{Status: wire.StatusOK}, 0
+		return wire.Response{Status: wire.StatusOK}
 	case wire.OpGet:
 		s.reads.Inc()
 		v, ok := st.Get(req.Key)
 		if !ok {
-			return wire.Response{Status: wire.StatusNotFound}, 0
+			return wire.Response{Status: wire.StatusNotFound}
 		}
-		return wire.Response{Status: wire.StatusOK, Value: v}, 0
-	case wire.OpPut:
-		s.writes.Inc()
-		return s.applyWrite(oplog.OpPut, req)
-	case wire.OpInsert:
-		s.writes.Inc()
-		return s.applyWrite(oplog.OpInsert, req)
-	case wire.OpDelete:
-		s.deletes.Inc()
-		return s.applyWrite(oplog.OpDelete, req)
+		return wire.Response{Status: wire.StatusOK, Value: v}
 	case wire.OpLen:
 		s.others.Inc()
-		return wire.Response{Status: wire.StatusOK, Value: st.Len()}, 0
+		return wire.Response{Status: wire.StatusOK, Value: st.Len()}
 	case wire.OpStats:
 		s.others.Inc()
-		return wire.Response{Status: wire.StatusOK, Extra: s.statsExtra(req.Value)}, 0
+		return wire.Response{Status: wire.StatusOK, Extra: s.statsExtra(req.Value)}
 	default:
 		s.badreq.Inc()
-		return wire.Response{Status: wire.StatusBadRequest}, 0
+		return wire.Response{Status: wire.StatusBadRequest}
 	}
-}
-
-// applyWrite runs one mutating request: refused outright once a drain
-// has begun (the final image's contents are already decided) or the
-// oplog has suffered a sticky failure (the mutation could never be
-// acked), else applied to the store with the oplog append running as a
-// commit hook INSIDE the store's own critical section — on a
-// concurrent store, the owning stripe's lock. That pairs (apply,
-// append) atomically against the snapshot cut without any server-wide
-// lock. Only successful mutations are logged — a refused or failed
-// operation must not reappear at replay.
-//
-// The draining check racing Drain is safe without re-checking under
-// the lock: Drain flips the flag, then waits for every handler
-// goroutine to exit before cutting the final image, so a write that
-// slipped past the check completes its (apply, append) pair AND its
-// durable ack (or is discarded unacked) strictly before the final
-// snapshot's cut observes the log — acked ⇒ in the image, refused ⇒
-// absent, no third outcome. TestDrainStraddleDurability pins this.
-func (s *Server) applyWrite(op oplog.Op, req wire.Request) (wire.Response, uint64) {
-	if s.draining.Load() || s.oplogDead.Load() {
-		s.drainRejects.Inc()
-		return wire.Response{Status: wire.StatusDraining}, 0
-	}
-	st := s.eng
-	var lsn uint64
-	var hook func()
-	if s.cfg.Oplog != nil {
-		hook = func() { lsn = s.cfg.Oplog.Append(op, req.Key, req.Value) }
-	}
-	switch op {
-	case oplog.OpPut:
-		if err := st.PutHook(req.Key, req.Value, hook); err != nil {
-			return s.errResponse(err), 0
-		}
-	case oplog.OpInsert:
-		if err := st.InsertHook(req.Key, req.Value, hook); err != nil {
-			return s.errResponse(err), 0
-		}
-	case oplog.OpDelete:
-		if !st.DeleteHook(req.Key, hook) {
-			return wire.Response{Status: wire.StatusNotFound}, 0
-		}
-	}
-	return wire.Response{Status: wire.StatusOK}, lsn
 }
 
 // errResponse maps store write errors to wire statuses.

@@ -4,8 +4,8 @@ import (
 	"bufio"
 	"errors"
 	"net"
-	"path/filepath"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -28,7 +28,7 @@ func startServer(t *testing.T, opts grouphash.Options, cfg Config) (*Server, str
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Store = st
+	cfg.Engine = st
 	cfg.Logf = t.Logf
 	s, err := New(cfg)
 	if err != nil {
@@ -61,13 +61,13 @@ func dial(t *testing.T, addr string) *client.Client {
 
 func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
-		t.Fatal("New without a store must fail")
+		t.Fatal("New without an engine must fail")
 	}
 	seq, err := grouphash.New(grouphash.Options{Capacity: 1 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(Config{Store: seq}); err == nil {
+	if _, err := New(Config{Engine: seq}); err == nil {
 		t.Fatal("New with a non-concurrent store must fail")
 	}
 }
@@ -223,7 +223,7 @@ func TestServerOnlineExpansion(t *testing.T) {
 	if full := s.Stats().Full; full != 0 {
 		t.Fatalf("saw %d StatusFull responses, want 0", full)
 	}
-	if exp := s.cfg.Store.Expansions(); exp == 0 {
+	if exp := s.eng.Expansions(); exp == 0 {
 		t.Fatal("store never expanded despite 64x overload")
 	}
 	c := dial(t, addr)
@@ -376,7 +376,7 @@ func TestDrainRefusesBufferedWrites(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := New(Config{Store: st, SnapshotPath: img, Logf: t.Logf})
+		s, err := New(Config{Engine: st, SnapshotPath: img, Logf: t.Logf})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -551,7 +551,7 @@ func TestStickyOplogFailureShutsDown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(Config{Store: st, Oplog: lg, Logf: t.Logf})
+	s, err := New(Config{Engine: st, Oplog: lg, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -662,7 +662,7 @@ func TestGroupCommitFailureFanOutServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(Config{Store: st, Oplog: lg, Logf: t.Logf})
+	s, err := New(Config{Engine: st, Oplog: lg, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -755,9 +755,9 @@ func TestGroupCommitFailureFanOutServer(t *testing.T) {
 // TestDrainStraddleDurability is the oplog-enabled drain/apply race
 // test: pipelined writers hammer an adaptively-committed server while
 // Drain flips the draining flag under them, so some batches straddle
-// the cut (part acked, part refused StatusDraining). applyWrite checks
-// the flag BEFORE the stripe-locked (apply, append) pair; this test
-// pins the ordering argument that makes that safe — Drain waits for
+// the cut (part acked, part refused StatusDraining). The serving loop
+// checks the flag BEFORE the stripe-locked (apply, append) pair; this
+// test pins the ordering argument that makes that safe — Drain waits for
 // every handler before cutting the final image, so acked ⇒ in the
 // image, refused ⇒ absent, and the post-image log replays nothing.
 func TestDrainStraddleDurability(t *testing.T) {
@@ -773,7 +773,7 @@ func TestDrainStraddleDurability(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := New(Config{Store: st, SnapshotPath: img, Oplog: lg, Logf: t.Logf})
+		s, err := New(Config{Engine: st, SnapshotPath: img, Oplog: lg, Logf: t.Logf})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -784,21 +784,33 @@ func TestDrainStraddleDurability(t *testing.T) {
 		serveDone := make(chan error, 1)
 		go func() { serveDone <- s.Serve(ln) }()
 
-		const workers = 4
+		// Enough writers that, whenever the drain lands, some handler is
+		// between reading a batch and applying it.
+		const workers = 16
 		const batch = 128
 		type outcome struct{ acked, refused []uint64 }
 		outs := make([]outcome, workers)
-		var wg sync.WaitGroup
+		// Every writer is connected and has one batch acked before the
+		// drain clock starts, so a slow start cannot leave a writer
+		// dialing a closed listener or idle through the drain.
+		conns := make([]*client.Client, workers)
+		for w := range conns {
+			c, err := client.Dial(ln.Addr().String(), time.Second)
+			if err != nil {
+				t.Fatalf("dial: %v", err)
+			}
+			conns[w] = c
+		}
+		var wg, ready sync.WaitGroup
+		ready.Add(workers)
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
-			go func(w int) {
+			go func(w int, c *client.Client) {
 				defer wg.Done()
-				c, err := client.Dial(ln.Addr().String(), time.Second)
-				if err != nil {
-					t.Errorf("dial: %v", err)
-					return
-				}
 				defer c.Close()
+				var once sync.Once
+				markReady := func() { once.Do(ready.Done) }
+				defer markReady()
 				base := uint64(w+1) << 32
 				for i := uint64(0); ; i += batch {
 					reqs := make([]wire.Request, batch)
@@ -824,9 +836,11 @@ func TestDrainStraddleDurability(t *testing.T) {
 					if len(outs[w].refused) > 0 {
 						return
 					}
+					markReady()
 				}
-			}(w)
+			}(w, conns[w])
 		}
+		ready.Wait()
 		time.Sleep(20 * time.Millisecond)
 		if err := s.Drain(); err != nil {
 			t.Fatal(err)
