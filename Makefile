@@ -27,6 +27,7 @@ test: vet
 race: torture fuzz-smoke chaos-smoke
 	$(GO) test -race ./internal/core ./internal/engine ./internal/server ./internal/client ./internal/native ./internal/oplog ./internal/harness .
 	$(GO) test -race -run 'OnlineExpansion' -count=4 -cpu 1,2,4 ./internal/core
+	$(GO) test -race -run 'ApplyBatchParallel|ReplayEquivalence/grouphash' -count=10 -cpu 1,2 ./internal/core ./internal/engine
 
 # torture is the durability gate: the in-process crash-torture test
 # (deterministic kill points: mid-group-commit, mid-rotation,
@@ -99,14 +100,17 @@ bench-workload:
 # microbenchmarks, the fingerprint-sensitive lookup benchmarks, the
 # allocation-pinned wire codecs, and the end-to-end acked-write path
 # through the server (no log, legacy synchronous log, adaptive group
-# commit) plus the batch-frame serving loop. -count 5 so ghbenchdiff
+# commit) plus the batch-frame serving loop, and oplog replay onto the
+# flagship at one and two CPUs (each iteration replays 600k records,
+# so it runs a fixed 3 iterations). -count 5 so ghbenchdiff
 # compares means, not single noisy samples; -benchmem so allocs/op is
 # tracked alongside ns/op.
 BENCH_TRACKED = { \
 	$(GO) test -run XXX -bench 'BenchmarkSubstrate' -benchtime 0.3s -benchmem -count 5 . && \
 	$(GO) test -run XXX -bench 'BenchmarkLookup(Hit|Miss)' -benchtime 0.3s -benchmem -count 5 ./internal/core && \
 	$(GO) test -run XXX -bench 'Benchmark(ReadResponseFixed|WriteResponseFixed|WriteBatchResponses|RequestReaderBatch)' -benchtime 0.3s -benchmem -count 5 ./internal/wire && \
-	$(GO) test -run XXX -bench 'Benchmark(AckedWrite|ServeBatchPipeline)' -benchtime 0.3s -benchmem -count 5 ./internal/server ; }
+	$(GO) test -run XXX -bench 'Benchmark(AckedWrite|ServeBatchPipeline)' -benchtime 0.3s -benchmem -count 5 ./internal/server && \
+	$(GO) test -run XXX -bench 'BenchmarkStoreReplayOplog' -benchtime 3x -benchmem -count 5 -cpu 1,2 . ; }
 
 # bench-baseline refreshes the committed reference numbers in
 # bench_baseline.txt. Rerun it (on the same class of machine) whenever

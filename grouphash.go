@@ -332,7 +332,6 @@ func (s *Store) applyBatchSequential(ops []BatchOp, out []BatchResult, committed
 	if len(ops) != len(out) {
 		panic("grouphash: ApplyBatch len(ops) != len(out)")
 	}
-	applied := make([]int, 0, len(ops))
 	for i := range ops {
 		out[i] = BatchResult{}
 		op := &ops[i]
@@ -340,30 +339,28 @@ func (s *Store) applyBatchSequential(ops []BatchOp, out []BatchResult, committed
 		case BatchPut:
 			if s.tab.Update(op.Key, op.Value) {
 				out[i].Found = true
-				applied = append(applied, i)
 				continue
 			}
-			if err := s.insertExpanding(op.Key, op.Value); err != nil {
-				out[i].Err = err
-				continue
-			}
-			applied = append(applied, i)
+			out[i].Err = s.insertExpanding(op.Key, op.Value)
 		case BatchInsert:
-			if err := s.insertExpanding(op.Key, op.Value); err != nil {
-				out[i].Err = err
-				continue
-			}
-			applied = append(applied, i)
+			out[i].Err = s.insertExpanding(op.Key, op.Value)
 		case BatchDelete:
-			if s.tab.Delete(op.Key) {
-				out[i].Found = true
-				applied = append(applied, i)
-			}
+			out[i].Found = s.tab.Delete(op.Key)
 		default:
 			panic("grouphash: ApplyBatch: unknown BatchKind")
 		}
 	}
-	if len(applied) > 0 && committed != nil {
+	if committed == nil {
+		return
+	}
+	// The ops that mutated cells: every success but an absent delete.
+	applied := make([]int, 0, len(ops))
+	for i := range out {
+		if out[i].Err == nil && (ops[i].Kind != BatchDelete || out[i].Found) {
+			applied = append(applied, i)
+		}
+	}
+	if len(applied) > 0 {
 		committed(applied)
 	}
 }
@@ -608,24 +605,27 @@ func LoadSnapshotMark(path string, concurrent bool) (*Store, uint64, error) {
 
 // ReplayOplog replays the operation log based at base onto the store:
 // every record with an LSN past `after` (typically the oplog mark of
-// the image the store was loaded from) is re-applied in log order.
-// Replay only reads the log files, so a crash during replay is
-// recovered by replaying again from the same image — the store's
-// in-memory state is rebuilt from scratch either way, which is what
-// makes replay idempotent. It returns the number of operations applied
-// and the LSN the log should continue from (pass it to oplog.Open).
+// the image the store was loaded from) is re-applied, in chunks of
+// thousands of records, through the same stripe-grouped write path the
+// server uses. On a concurrent store each chunk's stripe-runs spread
+// over GOMAXPROCS goroutines (Concurrent.ApplyBatchParallel), one lock
+// acquisition and one count persist per run; a sequential store
+// applies each chunk in log order, expanding when full as Put does.
+// Either way every key sees its records in LSN order, which is all the
+// final state depends on. Replay only reads the log files, so a crash
+// during replay is recovered by replaying again from the same image —
+// the store's in-memory state is rebuilt from scratch either way,
+// which is what makes replay idempotent. It returns the number of
+// operations applied and the LSN the log should continue from (pass it
+// to oplog.Open); an error names the LSN of the first record that
+// failed to apply.
 func (s *Store) ReplayOplog(base string, after uint64) (applied int, next uint64, err error) {
-	next, applied, err = oplog.Scan(base, after, func(r oplog.Record) error {
-		switch r.Op {
-		case oplog.OpPut:
-			return s.Put(r.Key, r.Value)
-		case oplog.OpInsert:
-			return s.Insert(r.Key, r.Value)
-		case oplog.OpDelete:
-			s.Delete(r.Key)
-			return nil
-		default:
-			return fmt.Errorf("grouphash: oplog record %d has unknown op %d", r.LSN, r.Op)
+	var sc BatchScratch
+	applied, next, err = oplog.Replay(base, after, func(ops []BatchOp, out []BatchResult) {
+		if s.conc != nil {
+			s.conc.ApplyBatchParallel(ops, out, &sc)
+		} else {
+			s.applyBatchSequential(ops, out, nil)
 		}
 	})
 	if err != nil {

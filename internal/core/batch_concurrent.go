@@ -1,6 +1,9 @@
 package core
 
 import (
+	"runtime"
+	"sync"
+
 	"grouphash/internal/hashtab"
 	"grouphash/internal/layout"
 )
@@ -60,6 +63,9 @@ type BatchScratch struct {
 	stripes []int32 // stripe per op, -1 = invalid key
 	counts  []int32 // counting-sort workspace, one slot per stripe
 	applied []int   // per-run op indices handed to the commit hook
+	// workers lends each ApplyBatchParallel goroutine its own applied
+	// buffer.
+	workers []BatchScratch
 }
 
 // ApplyBatch applies ops in stripe-grouped runs, writing per-op
@@ -88,14 +94,73 @@ type BatchScratch struct {
 //
 // sc may be nil (a scratch is then allocated); committed may be nil.
 func (c *Concurrent) ApplyBatch(ops []BatchOp, out []BatchResult, sc *BatchScratch, committed func(applied []int)) {
+	if sc == nil {
+		sc = &BatchScratch{}
+	}
+	if !c.groupByStripe(ops, out, sc) {
+		return
+	}
+	c.applyRuns(ops, out, sc.stripes, sc.order, sc, committed)
+}
+
+// ApplyBatchParallel is ApplyBatch with no commit hook and the stripe-
+// runs spread over min(GOMAXPROCS, stripes) goroutines, each applying
+// a contiguous range of stripes sized to an equal share of the ops.
+// Oplog replay drives it: with no hook there is no append to pair with
+// a snapshot cut, and ops on different stripes never touch the same
+// key, so per-key submission order survives exactly as in ApplyBatch.
+// It returns once every op has applied. Online expansion proceeds as
+// on the live path, each goroutine waiting in awaitRoom for its own
+// stripe. sc must not be nil; its buffers, including one per
+// goroutine, are reused across calls.
+func (c *Concurrent) ApplyBatchParallel(ops []BatchOp, out []BatchResult, sc *BatchScratch) {
+	if !c.groupByStripe(ops, out, sc) {
+		return
+	}
+	order := sc.order
+	p := runtime.GOMAXPROCS(0)
+	if p > len(c.stripes) {
+		p = len(c.stripes)
+	}
+	if p <= 1 || len(order) < 2 {
+		c.applyRuns(ops, out, sc.stripes, order, sc, nil)
+		return
+	}
+	for len(sc.workers) < p {
+		sc.workers = append(sc.workers, BatchScratch{})
+	}
+	var wg sync.WaitGroup
+	start := 0
+	for w := 0; w < p-1 && start < len(order); w++ {
+		// Cut at the first stripe boundary at or past an equal share.
+		end := len(order) * (w + 1) / p
+		if end <= start {
+			end = start + 1
+		}
+		for end < len(order) && sc.stripes[order[end]] == sc.stripes[order[end-1]] {
+			end++
+		}
+		wg.Add(1)
+		go func(part []int32, wsc *BatchScratch) {
+			defer wg.Done()
+			c.applyRuns(ops, out, sc.stripes, part, wsc, nil)
+		}(order[start:end], &sc.workers[w])
+		start = end
+	}
+	c.applyRuns(ops, out, sc.stripes, order[start:], &sc.workers[p-1], nil)
+	wg.Wait()
+}
+
+// groupByStripe resets out, marks invalid keys, and fills sc.order
+// with the valid ops' indices stably grouped by stripe (sc.stripes[i]
+// is op i's stripe, -1 for an invalid key). It reports whether any op
+// is left to apply.
+func (c *Concurrent) groupByStripe(ops []BatchOp, out []BatchResult, sc *BatchScratch) bool {
 	if len(ops) != len(out) {
 		panic("core: ApplyBatch len(ops) != len(out)")
 	}
 	if len(ops) == 0 {
-		return
-	}
-	if sc == nil {
-		sc = &BatchScratch{}
+		return false
 	}
 	if cap(sc.stripes) < len(ops) {
 		sc.stripes = make([]int32, len(ops))
@@ -142,13 +207,20 @@ func (c *Concurrent) ApplyBatch(ops []BatchOp, out []BatchResult, sc *BatchScrat
 			counts[si]++
 		}
 	}
-	for start := 0; start < len(sc.order); {
-		si := int(sc.stripes[sc.order[start]])
+	return valid > 0
+}
+
+// applyRuns applies order, a stripe-grouped slice of op indices, one
+// stripe-run at a time; stripes maps op index to stripe and sc lends
+// its applied buffer.
+func (c *Concurrent) applyRuns(ops []BatchOp, out []BatchResult, stripes, order []int32, sc *BatchScratch, committed func(applied []int)) {
+	for start := 0; start < len(order); {
+		si := stripes[order[start]]
 		end := start + 1
-		for end < len(sc.order) && int(sc.stripes[sc.order[end]]) == si {
+		for end < len(order) && stripes[order[end]] == si {
 			end++
 		}
-		c.applyRun(ops, out, sc, si, sc.order[start:end], committed)
+		c.applyRun(ops, out, sc, int(si), order[start:end], committed)
 		start = end
 	}
 }

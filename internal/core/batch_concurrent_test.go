@@ -2,6 +2,8 @@ package core
 
 import (
 	"errors"
+	"math/rand"
+	"runtime"
 	"testing"
 
 	"grouphash/internal/hashtab"
@@ -144,6 +146,79 @@ func TestApplyBatchExpansionMidBatch(t *testing.T) {
 	}
 	if bad := tab.CheckConsistency(); len(bad) != 0 {
 		t.Fatalf("inconsistencies: %v", bad)
+	}
+}
+
+// TestApplyBatchParallelMatchesApplyBatch: the replay entry point
+// gives every op the outcome ApplyBatch gives it, and leaves the same
+// contents, on twin tables fed the same batches. The batches repeat
+// keys within and across batches (so per-key order matters), span all
+// 16 stripes, and grow the table through online expansions. GOMAXPROCS
+// is raised so the stripe ranges really run on several goroutines.
+func TestApplyBatchParallelMatchesApplyBatch(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	_, seqTab, seq := newBatchFixture(t, 1<<10, 8, 16)
+	_, parTab, par := newBatchFixture(t, 1<<10, 8, 16)
+	seq.EnableOnlineExpand()
+	par.EnableOnlineExpand()
+
+	// Puts and deletes of put keys (even Lo) depend on per-key order.
+	// Insert keys (odd Lo) are inserted fresh or, now and then, again;
+	// every copy carries the same value, because which duplicate a
+	// lookup finds can change when a migration re-places them.
+	rng := rand.New(rand.NewSource(3))
+	const putKeys = 2000
+	fresh := uint64(0)
+	insertKey := func(i uint64) layout.Key { return layout.Key{Lo: 2*i + 1} }
+	var sc, psc BatchScratch
+	for b := 0; b < 12; b++ {
+		ops := make([]BatchOp, 1+rng.Intn(2000))
+		for i := range ops {
+			pk := layout.Key{Lo: 2 * uint64(rng.Intn(putKeys))} // Lo 0 is the invalid zero key
+			switch r := rng.Intn(20); {
+			case r < 7:
+				ops[i] = BatchOp{Kind: BatchInsert, Key: insertKey(fresh), Value: fresh}
+				fresh++
+			case r < 8:
+				d := uint64(rng.Int63n(int64(fresh) + 1))
+				ops[i] = BatchOp{Kind: BatchInsert, Key: insertKey(d), Value: d}
+			case r < 10:
+				ops[i] = BatchOp{Kind: BatchDelete, Key: insertKey(uint64(rng.Int63n(int64(fresh) + 10)))}
+			case r < 13:
+				ops[i] = BatchOp{Kind: BatchDelete, Key: pk}
+			default:
+				ops[i] = BatchOp{Kind: BatchPut, Key: pk, Value: rng.Uint64()}
+			}
+		}
+		want := make([]BatchResult, len(ops))
+		got := make([]BatchResult, len(ops))
+		seq.ApplyBatch(ops, want, &sc, nil)
+		par.ApplyBatchParallel(ops, got, &psc)
+		for i := range ops {
+			if got[i] != want[i] {
+				t.Fatalf("batch %d op %d (%+v): parallel %+v, ApplyBatch %+v", b, i, ops[i], got[i], want[i])
+			}
+		}
+	}
+	seq.WaitExpansion()
+	par.WaitExpansion()
+	if par.Expansions() == 0 {
+		t.Fatal("no online expansion during the parallel batches")
+	}
+	if seq.Len() != par.Len() {
+		t.Fatalf("Len: parallel %d, ApplyBatch %d", par.Len(), seq.Len())
+	}
+	for k := uint64(1); k < 2*max(putKeys, fresh+10); k++ {
+		wv, wok := seq.Lookup(layout.Key{Lo: k})
+		gv, gok := par.Lookup(layout.Key{Lo: k})
+		if wv != gv || wok != gok {
+			t.Fatalf("key %d: parallel (%d, %v), ApplyBatch (%d, %v)", k, gv, gok, wv, wok)
+		}
+	}
+	for _, tab := range []*Table{seqTab, parTab} {
+		if bad := tab.CheckConsistency(); len(bad) != 0 {
+			t.Fatalf("inconsistencies: %v", bad)
+		}
 	}
 }
 

@@ -335,19 +335,11 @@ func (e *tableEngine) SnapshotWriterAt(cut func() (uint64, error)) (func(path st
 	}, nil
 }
 
+// ReplayOplog re-applies the log through ApplyBatch, one writer-lock
+// acquisition per replay chunk, in log order.
 func (e *tableEngine) ReplayOplog(base string, after uint64) (applied int, next uint64, err error) {
-	next, applied, err = oplog.Scan(base, after, func(r oplog.Record) error {
-		switch r.Op {
-		case oplog.OpPut:
-			return e.Put(r.Key, r.Value)
-		case oplog.OpInsert:
-			return e.Insert(r.Key, r.Value)
-		case oplog.OpDelete:
-			e.Delete(r.Key)
-			return nil
-		default:
-			return fmt.Errorf("engine: oplog record %d has unknown op %d", r.LSN, r.Op)
-		}
+	applied, next, err = oplog.Replay(base, after, func(ops []core.BatchOp, out []core.BatchResult) {
+		e.ApplyBatch(ops, out, nil, nil)
 	})
 	if err != nil {
 		return applied, next, fmt.Errorf("engine: oplog replay: %w", err)

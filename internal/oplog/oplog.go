@@ -62,6 +62,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"grouphash/internal/core"
 	"grouphash/internal/layout"
 	"grouphash/internal/stats"
 )
@@ -858,7 +859,8 @@ func (l *Log) Abort() {
 // segment. Scan never writes, so a crash during replay is recovered by
 // simply scanning again. It returns the LSN one past the highest
 // observed (the nextLSN a subsequent Open should use) and the number
-// of records passed to fn.
+// of records passed to fn. Segments are read one at a time into a
+// single buffer reused across them.
 func Scan(base string, after uint64, fn func(Record) error) (next uint64, replayed int, err error) {
 	segs, err := listSegments(base)
 	if err != nil {
@@ -866,6 +868,7 @@ func Scan(base string, after uint64, fn func(Record) error) (next uint64, replay
 	}
 	next = 1
 	first := true
+	var buf []byte
 	for _, s := range segs {
 		if s.dead {
 			continue
@@ -883,7 +886,10 @@ func Scan(base string, after uint64, fn func(Record) error) (next uint64, replay
 			// tail. Continue from this segment's start.
 			next = s.start
 		}
-		n, cnt, err := scanSegment(s.path, next, after, fn)
+		if buf, err = readSegment(s.path, buf); err != nil {
+			return next, replayed, err
+		}
+		n, cnt, err := scanSegment(buf, next, after, fn)
 		replayed += cnt
 		if err != nil {
 			return n, replayed, err
@@ -893,13 +899,34 @@ func Scan(base string, after uint64, fn func(Record) error) (next uint64, replay
 	return next, replayed, nil
 }
 
-// scanSegment replays one segment's records, expecting the first LSN
-// to be expected; returns the next expected LSN after the segment.
-func scanSegment(path string, expected, after uint64, fn func(Record) error) (uint64, int, error) {
-	buf, err := os.ReadFile(path)
+// readSegment reads the segment file at path into buf, growing it only
+// when the file is larger than any read before.
+func readSegment(path string, buf []byte) ([]byte, error) {
+	f, err := os.Open(path)
 	if err != nil {
-		return expected, 0, fmt.Errorf("oplog: reading segment: %w", err)
+		return buf, fmt.Errorf("oplog: reading segment: %w", err)
 	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return buf, fmt.Errorf("oplog: reading segment: %w", err)
+	}
+	if size := int(fi.Size()); cap(buf) < size {
+		buf = make([]byte, size)
+	} else {
+		buf = buf[:size]
+	}
+	n, err := io.ReadFull(f, buf)
+	if err != nil && err != io.ErrUnexpectedEOF {
+		return buf, fmt.Errorf("oplog: reading segment: %w", err)
+	}
+	return buf[:n], nil // a file that shrank since Stat reads short
+}
+
+// scanSegment replays one segment's records from its contents buf,
+// expecting the first LSN to be expected; returns the next expected
+// LSN after the segment.
+func scanSegment(buf []byte, expected, after uint64, fn func(Record) error) (uint64, int, error) {
 	if len(buf) < segHeaderLen {
 		return expected, 0, nil // torn header: no records
 	}
@@ -921,4 +948,74 @@ func scanSegment(path string, expected, after uint64, fn func(Record) error) (ui
 		}
 	}
 	return expected, count, nil
+}
+
+// replayChunk is how many records Replay hands its applier at a time:
+// large enough that a stripe-grouped apply amortises each stripe lock
+// and count persist over many records, small enough that the chunk's
+// buffers stay around a megabyte.
+const replayChunk = 16 << 10
+
+// Replay is Scan in batches: it decodes the records past after into a
+// chunk of up to replayChunk batch ops and hands each chunk to apply,
+// which must write every op's outcome into out. Chunks arrive in LSN
+// order and so do the ops within one; apply may reorder ops of
+// different keys but must keep each key's ops in order. The chunk and
+// result buffers, allocated at the first record, are reused for the
+// whole replay, so apply must not retain them.
+//
+// The first op whose outcome carries an Err stops the replay with an
+// error naming that record's LSN. applied counts the records applied
+// before it (later records of the same chunk may have applied too);
+// next is what Scan returns.
+func Replay(base string, after uint64, apply func(ops []core.BatchOp, out []core.BatchResult)) (applied int, next uint64, err error) {
+	var (
+		ops  []core.BatchOp
+		lsns []uint64
+		out  []core.BatchResult
+	)
+	flush := func() error {
+		if len(ops) == 0 {
+			return nil
+		}
+		res := out[:len(ops)]
+		apply(ops, res)
+		for i := range res {
+			if res[i].Err != nil {
+				applied += i
+				return fmt.Errorf("oplog: record %d: %w", lsns[i], res[i].Err)
+			}
+		}
+		applied += len(ops)
+		ops, lsns = ops[:0], lsns[:0]
+		return nil
+	}
+	next, _, err = Scan(base, after, func(r Record) error {
+		var kind core.BatchKind
+		switch r.Op {
+		case OpPut:
+			kind = core.BatchPut
+		case OpInsert:
+			kind = core.BatchInsert
+		case OpDelete:
+			kind = core.BatchDelete
+		default:
+			return fmt.Errorf("oplog: record %d has unknown op %d", r.LSN, r.Op)
+		}
+		if ops == nil { // allocated on the first record: a log with nothing to replay costs nothing
+			ops = make([]core.BatchOp, 0, replayChunk)
+			lsns = make([]uint64, 0, replayChunk)
+			out = make([]core.BatchResult, replayChunk)
+		}
+		ops = append(ops, core.BatchOp{Kind: kind, Key: r.Key, Value: r.Value})
+		lsns = append(lsns, r.LSN)
+		if len(ops) == replayChunk {
+			return flush()
+		}
+		return nil
+	})
+	if err == nil {
+		err = flush()
+	}
+	return applied, next, err
 }

@@ -2,13 +2,16 @@ package oplog
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
+	"grouphash/internal/core"
 	"grouphash/internal/layout"
 )
 
@@ -497,5 +500,79 @@ func TestGroupCommitConcurrent(t *testing.T) {
 			t.Fatalf("key %#x appears twice", r.Key.Lo)
 		}
 		seen[r.Key.Lo] = true
+	}
+}
+
+// TestReplayChunks: Replay hands its applier the records past the mark
+// as batch ops in LSN order, in chunks of replayChunk, across segments
+// and an LSN gap between them; a failed op stops the replay with an
+// error naming its LSN.
+func TestReplayChunks(t *testing.T) {
+	b := base(t)
+	l, err := Open(b, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := []Op{OpPut, OpInsert, OpDelete}
+	const first = replayChunk + 10 // records in the first segment
+	for i := uint64(1); i <= first; i++ {
+		l.Append(ops[i%3], layout.Key{Lo: i}, i)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// A second segment after a gap, as a lost unsynced tail leaves.
+	if l, err = Open(b, 20001); err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(20001); i <= 20100; i++ {
+		l.Append(ops[i%3], layout.Key{Lo: i}, i)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	kinds := map[Op]core.BatchKind{OpPut: core.BatchPut, OpInsert: core.BatchInsert, OpDelete: core.BatchDelete}
+	var chunks []int
+	var lsns []uint64
+	applied, next, err := Replay(b, 5, func(batch []core.BatchOp, out []core.BatchResult) {
+		chunks = append(chunks, len(batch))
+		for i, op := range batch {
+			if op.Key.Lo != op.Value || op.Kind != kinds[ops[op.Value%3]] {
+				t.Fatalf("op %+v does not match its record", op)
+			}
+			lsns = append(lsns, op.Value)
+			out[i] = core.BatchResult{}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{replayChunk, first - 5 - replayChunk + 100}; fmt.Sprint(chunks) != fmt.Sprint(want) {
+		t.Fatalf("chunks %v, want %v", chunks, want)
+	}
+	if applied != len(lsns) || applied != first-5+100 || next != 20101 {
+		t.Fatalf("Replay = (%d, %d) over %d ops", applied, next, len(lsns))
+	}
+	for i := 1; i < len(lsns); i++ {
+		if lsns[i] <= lsns[i-1] {
+			t.Fatalf("LSN %d after %d", lsns[i], lsns[i-1])
+		}
+	}
+
+	boom := errors.New("boom")
+	applied, _, err = Replay(b, 5, func(batch []core.BatchOp, out []core.BatchResult) {
+		for i, op := range batch {
+			out[i] = core.BatchResult{}
+			if op.Value == 20050 || op.Value == 20060 {
+				out[i].Err = boom
+			}
+		}
+	})
+	if !errors.Is(err, boom) || !strings.Contains(err.Error(), "record 20050:") {
+		t.Fatalf("Replay error %v, want boom naming record 20050", err)
+	}
+	if applied != first-5+49 {
+		t.Fatalf("applied %d before the failure, want %d", applied, first-5+49)
 	}
 }
