@@ -19,10 +19,11 @@ vet:
 # test is the tier-1 gate: vet, the full suite, and the race detector
 # over the concurrent table (whose seqlock read path and online
 # expansion only a -race run can meaningfully exercise) plus the paged
-# native backend and the network layer built on top of it.
+# native backend, the network layer built on top of it, and the oplog's
+# commit engine.
 test: vet
 	$(GO) test ./...
-	$(GO) test -race ./internal/core ./internal/engine ./internal/server ./internal/client ./internal/native
+	$(GO) test -race ./internal/core ./internal/engine ./internal/server ./internal/client ./internal/native ./internal/oplog
 
 race: torture fuzz-smoke chaos-smoke
 	$(GO) test -race ./internal/core ./internal/engine ./internal/server ./internal/client ./internal/native ./internal/oplog ./internal/harness .
@@ -31,12 +32,13 @@ race: torture fuzz-smoke chaos-smoke
 
 # torture is the durability gate: the in-process crash-torture test
 # (deterministic kill points: mid-group-commit, mid-rotation,
-# mid-snapshot, mid-replay; torn log tails; legacy and adaptive
-# commit modes) under the race detector, plus ghchaos killing a real
+# mid-snapshot, mid-replay; torn log tails; the zero commit window and
+# two timed ones) under the race detector, plus ghchaos killing a real
 # serving flagship on its seeded schedule (SIGKILL on every event kind
 # but drain) and auditing every acked write for exactly-once survival —
-# swept across the (T, B) group-commit matrix: synchronous, the
-# 100µs/64KiB default, and a wide 1ms/256KiB window, the latter two
+# swept across the (T, B) group-commit matrix: T=0 (commit when the
+# first waiter arrives), the 100µs/64KiB default, and a wide
+# 1ms/256KiB window, the latter two
 # with preallocated segments so kills land in zero-filled tails. The
 # small capacity forces online expansions, and a StatusFull from the
 # flagship is fatal.
@@ -72,9 +74,10 @@ bench:
 	$(GO) test -bench=. -benchmem .
 
 # bench-json regenerates the PR's benchmark numbers: the end-to-end
-# batching sweep (single-op pipelined with and without transparent
-# coalescing vs explicit OpBatch frames of 1/8/64/256, with allocation
-# and write-amplification counters per row), written to BENCH_PR8.json.
+# batching sweep (one-op OpBatch frames as the per-op reference,
+# single-op pipelined frames the server coalesces, and OpBatch frames of
+# 8/64/256, with allocation and write-amplification counters per row),
+# written to BENCH_PR8.json.
 # Earlier PRs' files regenerate the same way (oplog -> BENCH_PR7.json,
 # probe,expand -> BENCH_PR6.json, metrics -> BENCH_PR5.json, oplog at
 # its pre-adaptive shape -> BENCH_PR4.json).
@@ -99,8 +102,8 @@ bench-workload:
 # The Go-benchmark set bench-baseline/bench-diff track: the substrate
 # microbenchmarks, the fingerprint-sensitive lookup benchmarks, the
 # allocation-pinned wire codecs, and the end-to-end acked-write path
-# through the server (no log, legacy synchronous log, adaptive group
-# commit) plus the batch-frame serving loop, and oplog replay onto the
+# through the server (no log, the zero commit window in the row still
+# named legacy, a 100µs window) plus the batch-frame serving loop, and oplog replay onto the
 # flagship at one and two CPUs (each iteration replays 600k records,
 # so it runs a fixed 3 iterations). -count 5 so ghbenchdiff
 # compares means, not single noisy samples; -benchmem so allocs/op is

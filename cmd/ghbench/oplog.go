@@ -21,9 +21,9 @@ import (
 
 // The oplog experiment measures what the durability contract costs:
 // acked-write throughput through a real server over loopback TCP,
-// without the operation log, with the legacy synchronous
-// fsync-per-batch log, and with the adaptive group-commit windows the
-// server ships with. Pipelining and the (T, B) window are the whole
+// without the operation log, with a zero commit window (one fsync per
+// pipelined batch, once its acks wait), and with the timed group-commit
+// windows the server ships with. Pipelining and the (T, B) window are the whole
 // story — the wider the commit, the more acked writes share one fsync
 // — so each row also reports the fsync count and the ack-latency tail
 // the batching buys that throughput with.
@@ -121,8 +121,8 @@ func oplogWorker(addr string, base uint64, perConn, batch, depth int, rtts *[]ti
 // oplogThroughputBench acks `ops` pipelined writes through a freshly
 // started server and returns the wall time plus latency quantiles.
 // With withLog, every ack is covered by the durable watermark of an
-// operation log running under lcfg (the zero Config is the legacy
-// synchronous fsync-per-batch mode).
+// operation log running under lcfg (the zero Config is the zero
+// commit window: one fsync per pipelined batch).
 func oplogThroughputBench(mode string, conns, batch, depth, ops int, withLog bool, lcfg oplog.Config) oplogThroughputRow {
 	dir, err := os.MkdirTemp("", "ghbench-oplog-*")
 	if err != nil {
@@ -185,7 +185,7 @@ func oplogThroughputBench(mode string, conns, batch, depth, ops int, withLog boo
 }
 
 // runOplogExperiment measures acked-write throughput without the log,
-// with the legacy synchronous log, and with the two shipped adaptive
+// with a zero commit window, and with the two shipped timed
 // group-commit windows, folding every row (throughput, fsyncs, ack and
 // RTT quantiles) into the JSON report. The acceptance bar is the
 // adaptive default staying within 1.2x of the no-oplog baseline.

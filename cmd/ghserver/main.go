@@ -13,12 +13,13 @@
 //
 // Durability: with -oplog, acked means durable — every mutating
 // request is appended to the operation log and its response is held
-// until an adaptive group commit (-oplog-sync-every /
-// -oplog-sync-bytes: fsync when the window ages out or enough bytes
-// stage, whichever first) carries its LSN past the durable watermark.
-// Worst-case added ack latency is the window; -oplog-sync-every 0
-// restores the synchronous fsync-per-batch mode. Snapshots bound the
-// log's length, and start-up recovery is image + replay: after any
+// until a group commit carries its LSN past the durable watermark. The
+// log's committer fsyncs once per commit window of width T
+// (-oplog-sync-every), or earlier once -oplog-sync-bytes stage; the
+// worst-case added ack latency is T. With -oplog-sync-every 0 the
+// window is zero: the first ack waiter opens it and the committer
+// fsyncs at once, covering everything staged before. Snapshots bound
+// the log's length, and start-up recovery is image + replay: after any
 // crash, power failure included, every acked write is back, exactly
 // once. Without -oplog the server degrades to snapshots only, where a
 // crash loses acked writes since the last image. See DESIGN.md §6.
@@ -50,7 +51,7 @@ func main() {
 		seed     = flag.Uint64("seed", 0, "hash-function seed (must match across restarts of the same image)")
 		image    = flag.String("image", "", "pmfs image path: loaded at start if present, snapshot target while serving")
 		logBase  = flag.String("oplog", "", "operation log base path: acked writes are fsynced here before the ack and replayed over the image at start (\"\" = snapshots only; a crash then loses acked writes since the last image)")
-		syncT    = flag.Duration("oplog-sync-every", 100*time.Microsecond, "adaptive group-commit window: acks are released when a batch has aged this long (0 = fsync synchronously per pipelined batch, the pre-adaptive behaviour)")
+		syncT    = flag.Duration("oplog-sync-every", 100*time.Microsecond, "group-commit window T: acks are released when a batch has aged this long (0 = commit as soon as the first ack waits, one fsync per pipelined batch)")
 		syncB    = flag.Int("oplog-sync-bytes", 64<<10, "close the group-commit window early once this many staged bytes accumulate (0 = timer only; ignored when -oplog-sync-every is 0)")
 		prealloc = flag.Int64("oplog-prealloc", 4<<20, "preallocate (zero-fill) each log segment to this size so steady-state group commits are data-only fdatasyncs (0 = grow on demand)")
 		every    = flag.Duration("snapshot-every", 30*time.Second, "background snapshot period (0 = only the final drain snapshot)")

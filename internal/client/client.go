@@ -215,14 +215,6 @@ func (c *Client) ServerStats() (string, error) {
 	return c.serverStats(wire.StatsFormatText)
 }
 
-// ServerStatsJSON returns the server's counters as a JSON document
-// (the OpStats machine-readable format). Servers predating the format
-// selector answer with the text dump instead — callers that must
-// distinguish should check the first byte is '{'.
-func (c *Client) ServerStatsJSON() (string, error) {
-	return c.serverStats(wire.StatsFormatJSON)
-}
-
 // ServerMetrics returns the server's metrics registry rendered as
 // Prometheus text exposition — the same payload GET /metrics serves,
 // fetched over the wire protocol (truncated at a line boundary if it

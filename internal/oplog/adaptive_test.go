@@ -12,11 +12,11 @@ import (
 	"grouphash/internal/layout"
 )
 
-// TestAdaptiveRoundtrip proves the committer-driven mode keeps the
-// exact durability contract of the legacy mode: records acknowledged
-// by WaitDurable are on disk in strict LSN order, across concurrent
+// TestAdaptiveRoundtrip proves a timed commit window keeps the exact
+// durability contract of the zero window: records acknowledged by
+// WaitDurable are on disk in strict LSN order, across concurrent
 // appenders, with segments preallocated. It also pins the whole point
-// of adaptive commit — far fewer fsyncs than records.
+// of the window — far fewer fsyncs than records.
 func TestAdaptiveRoundtrip(t *testing.T) {
 	b := base(t)
 	l, err := OpenConfig(b, 1, Config{
@@ -89,16 +89,7 @@ func TestAdaptiveByteTrigger(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		last = l.Append(OpPut, layout.Key{Lo: uint64(i + 1)}, 1)
 	}
-	done := make(chan error, 1)
-	go func() { done <- l.WaitDurable(last) }()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("byte trigger never fired: WaitDurable stuck behind the one-minute timer")
-	}
+	within(t, "WaitDurable behind a one-minute timer", func() error { return l.WaitDurable(last) })
 }
 
 // TestAdaptiveZeroTailIgnored proves preallocation is recovery-safe:
@@ -133,11 +124,68 @@ func TestAdaptiveZeroTailIgnored(t *testing.T) {
 	}
 }
 
+// TestZeroWindowCommit pins the zero-window commit pattern: appends
+// alone never fsync, the first waiter makes everything staged before it
+// durable with one fsync, Sync past LastLSN returns instead of hanging,
+// and Sync closes a long timed window at once.
+func TestZeroWindowCommit(t *testing.T) {
+	l, err := OpenConfig(base(t), 1, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	var last uint64
+	for i := 0; i < 16; i++ {
+		last = l.Append(OpPut, layout.Key{Lo: uint64(i + 1)}, 1)
+	}
+	time.Sleep(20 * time.Millisecond) // room for a committer that wrongly fsyncs on appends
+	if n := l.Fsyncs(); n != 0 {
+		t.Fatalf("%d fsyncs with nobody waiting, want 0", n)
+	}
+	if err := l.WaitDurable(1); err != nil {
+		t.Fatal(err)
+	}
+	if d, n := l.DurableLSN(), l.Fsyncs(); d != last || n != 1 {
+		t.Fatalf("after one wait: durable %d with %d fsyncs, want %d with 1", d, n, last)
+	}
+
+	last = l.Append(OpPut, layout.Key{Lo: 100}, 1)
+	within(t, "Sync past LastLSN", func() error { return l.Sync(l.LastLSN() + 5) })
+	if d, n := l.DurableLSN(), l.Fsyncs(); d != last || n != 2 {
+		t.Fatalf("after Sync past LastLSN: durable %d with %d fsyncs, want %d with 2", d, n, last)
+	}
+
+	timed, err := OpenConfig(base(t), 1, Config{SyncEvery: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer timed.Close()
+	lsn := timed.Append(OpPut, layout.Key{Lo: 1}, 1)
+	within(t, "Sync inside a one-minute window", func() error { return timed.Sync(lsn) })
+}
+
+// within runs fn and fails the test if it errs or takes more than ten
+// seconds.
+func within(t *testing.T, what string, fn func() error) {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- fn() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatalf("%s hung", what)
+	}
+}
+
 // TestBatchFailureFanOut is the regression test for the group-commit
 // failure contract: when one fsync fails, EVERY waiter of that batch —
 // and every append racing the failure — must observe the error; none
 // may hang, and none may be told its record is durable. The error must
-// stay sticky after the injected fault is cleared.
+// stay sticky after the injected fault is cleared. The "legacy" row is
+// the zero window, the "adaptive" row a timed one.
 func TestBatchFailureFanOut(t *testing.T) {
 	for _, mode := range []struct {
 		name string

@@ -17,24 +17,24 @@
 // # Group commit
 //
 // Appends go to an in-memory buffer and are durable only after an
-// fsync covers them. Two commit modes share that buffer:
+// fsync covers them. One committer goroutine owns every record fsync;
+// callers park in WaitDurable until the durable-LSN watermark passes
+// their record. The committer works in commit windows of width
+// T = Config.SyncEvery:
 //
-//   - Legacy (zero Config): the caller drives the fsync. Sync is a
-//     group commit with a leader/waiter fast path: while one caller's
-//     fsync is in flight, later appenders pile into the buffer and the
-//     next Sync covers them all; a caller whose records were covered by
-//     somebody else's fsync returns without touching the disk.
-//   - Adaptive (Config.SyncEvery > 0): a committer goroutine owns the
-//     fsync clock. The first record staged into an empty buffer opens a
-//     commit window; the committer fsyncs when SyncEvery elapses or
-//     SyncBytes accumulate, whichever first, so one fsync amortises
-//     across every connection that appended inside the window — not
-//     just one pipelined batch. Callers park in WaitDurable until the
-//     durable-LSN watermark passes their record.
+//   - T > 0: the first record staged into an empty buffer opens a
+//     window; the committer fsyncs when T elapses or SyncBytes
+//     accumulate, whichever first, so one fsync amortises across every
+//     connection that appended inside the window — not just one
+//     pipelined batch.
+//   - T = 0 (the zero Config): appends open nothing; the first waiter
+//     opens the window and the committer fsyncs at once, with no timer.
+//     Everything staged before the wait — a whole pipelined burst —
+//     shares that fsync; waiters arriving while it runs share the next.
 //
-// Either way one fsync covers a whole batch of operations, amortising
-// the dominant cost the same way the paper's batched persists amortise
-// clflush traffic.
+// Sync closes the current window early. Either way one fsync covers a
+// whole batch of operations, amortising the dominant cost the same way
+// the paper's batched persists amortise clflush traffic.
 //
 // # Crash safety
 //
@@ -110,16 +110,17 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // ErrClosed reports use of a closed log.
 var ErrClosed = errors.New("oplog: log is closed")
 
-// Config tunes the log's commit scheduling and segment allocation. The
-// zero value is the legacy synchronous mode: callers drive every fsync
-// through Sync and segments grow on demand.
+// Config tunes the log's commit window and segment allocation. The
+// zero value commits as soon as somebody waits and grows segments on
+// demand.
 type Config struct {
-	// SyncEvery, when > 0, enables adaptive group commit: a committer
-	// goroutine fsyncs at most SyncEvery after the first record of a
-	// window is staged. It bounds both the added ack latency and the
-	// durability lag of an append nobody is waiting on.
+	// SyncEvery is the commit window T. When > 0, the committer fsyncs
+	// at most T after the first record of a window is staged, bounding
+	// both the added ack latency and the durability lag of an append
+	// nobody is waiting on. When 0, a record is fsynced only once a
+	// caller waits for it (WaitDurable or Sync), and then at once.
 	SyncEvery time.Duration
-	// SyncBytes, when > 0 in adaptive mode, closes a commit window
+	// SyncBytes, when > 0 with SyncEvery > 0, closes a commit window
 	// early once at least SyncBytes of records are staged, so heavy
 	// pipelines do not queue a full SyncEvery behind the timer.
 	SyncBytes int
@@ -165,9 +166,9 @@ type Log struct {
 	durable atomic.Uint64
 	closed  atomic.Bool
 
-	// Adaptive-mode machinery (nil/unused when cfg.SyncEvery == 0).
-	kick          chan struct{} // a record was staged into an empty buffer
-	kickBytes     chan struct{} // staged bytes crossed cfg.SyncBytes
+	// Committer machinery.
+	kick          chan struct{} // open a commit window
+	kickBytes     chan struct{} // close the open window now
 	stopc         chan struct{}
 	committerDone chan struct{}
 
@@ -330,8 +331,9 @@ func syncDir(dir string) error {
 	return nil
 }
 
-// Open opens the log based at base for appending with the legacy
-// (caller-driven Sync) configuration. See OpenConfig.
+// Open opens the log based at base for appending with the zero Config:
+// every record is fsynced as soon as somebody waits for it. See
+// OpenConfig.
 func Open(base string, nextLSN uint64) (*Log, error) {
 	return OpenConfig(base, nextLSN, Config{})
 }
@@ -340,9 +342,8 @@ func Open(base string, nextLSN uint64) (*Log, error) {
 // fresh segment whose first LSN is nextLSN (callers derive it from
 // Scan and the snapshot's oplog mark: one past the highest LSN known).
 // A fresh segment — never appending to an existing file — means a torn
-// tail left by a crash can never precede new records. When
-// cfg.SyncEvery > 0 the returned log runs in adaptive group-commit
-// mode with its own committer goroutine; Close (or Abort) stops it.
+// tail left by a crash can never precede new records. The returned log
+// runs its own committer goroutine; Close (or Abort) stops it.
 func OpenConfig(base string, nextLSN uint64, cfg Config) (*Log, error) {
 	if nextLSN == 0 {
 		nextLSN = 1
@@ -370,26 +371,21 @@ func OpenConfig(base string, nextLSN uint64, cfg Config) (*Log, error) {
 		prealloc: cfg.PreallocBytes,
 		lastLSN:  nextLSN - 1,
 		segs:     append(segs, segment{path: path, seq: seq, start: nextLSN}),
+
+		kick:          make(chan struct{}, 1),
+		kickBytes:     make(chan struct{}, 1),
+		stopc:         make(chan struct{}),
+		committerDone: make(chan struct{}),
 	}
 	l.durable.Store(nextLSN - 1)
 	l.waitCond = sync.NewCond(&l.waitMu)
-	if l.adaptive() {
-		l.kick = make(chan struct{}, 1)
-		l.kickBytes = make(chan struct{}, 1)
-		l.stopc = make(chan struct{})
-		l.committerDone = make(chan struct{})
-		go l.committer()
-	}
+	go l.committer()
 	return l, nil
 }
 
-// adaptive reports whether the committer goroutine owns the fsync
-// clock.
-func (l *Log) adaptive() bool { return l.cfg.SyncEvery > 0 }
-
 // Append stages one mutation record and returns its LSN. The record is
 // NOT durable until a Sync or WaitDurable covering the LSN returns
-// nil — callers must not ack before that. In adaptive mode an append
+// nil — callers must not ack before that. With SyncEvery > 0 an append
 // into an empty buffer opens a commit window (the committer will fsync
 // within cfg.SyncEvery), and crossing cfg.SyncBytes closes the window
 // early.
@@ -433,11 +429,12 @@ func (l *Log) AppendBatch(recs []Record) (first uint64) {
 	return first
 }
 
-// kickAfterStage nudges the adaptive committer after records were
-// staged: wasEmpty opens a commit window, crossing cfg.SyncBytes closes
-// it early. No-op in legacy mode.
+// kickAfterStage nudges the committer after records were staged:
+// wasEmpty opens a commit window, crossing cfg.SyncBytes closes it
+// early. With a zero window appends open nothing: the first waiter
+// does (see WaitDurable).
 func (l *Log) kickAfterStage(wasEmpty bool, staged int) {
-	if !l.adaptive() {
+	if l.cfg.SyncEvery == 0 {
 		return
 	}
 	// flushLocked grabs the whole buffer under l.mu, so exactly one
@@ -446,27 +443,35 @@ func (l *Log) kickAfterStage(wasEmpty bool, staged int) {
 	// (sent just as the committer drained the buffer) only closes
 	// the next window early — an extra fsync, never a lost one.
 	if wasEmpty {
-		select {
-		case l.kick <- struct{}{}:
-		default:
-		}
+		signal(l.kick)
 	}
 	if l.cfg.SyncBytes > 0 && staged >= l.cfg.SyncBytes {
-		select {
-		case l.kickBytes <- struct{}{}:
-		default:
-		}
+		signal(l.kickBytes)
 	}
 }
 
-// committer is the adaptive-mode fsync clock: it sleeps until a kick
-// opens a commit window, then flushes when cfg.SyncEvery elapses or
-// the byte trigger fires, whichever first.
+// signal posts a wakeup on a one-slot channel; a wakeup already
+// pending covers this one.
+func signal(c chan struct{}) {
+	select {
+	case c <- struct{}{}:
+	default:
+	}
+}
+
+// committer is the log's only record-fsync clock: it sleeps until a
+// kick opens a commit window, then flushes when cfg.SyncEvery elapses
+// or the byte trigger fires, whichever first — at once for a zero
+// window, which arms no timer (an idle process's timers fire about a
+// millisecond late).
 func (l *Log) committer() {
 	defer close(l.committerDone)
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
+	var timer *time.Timer
+	if l.cfg.SyncEvery > 0 {
+		timer = time.NewTimer(time.Hour)
+		if !timer.Stop() {
+			<-timer.C
+		}
 	}
 	for {
 		select {
@@ -474,18 +479,20 @@ func (l *Log) committer() {
 			return
 		case <-l.kick:
 		}
-		timer.Reset(l.cfg.SyncEvery)
-		select {
-		case <-l.stopc:
-			if !timer.Stop() {
-				<-timer.C
+		if timer != nil {
+			timer.Reset(l.cfg.SyncEvery)
+			select {
+			case <-l.stopc:
+				if !timer.Stop() {
+					<-timer.C
+				}
+				return
+			case <-l.kickBytes:
+				if !timer.Stop() {
+					<-timer.C
+				}
+			case <-timer.C:
 			}
-			return
-		case <-l.kickBytes:
-			if !timer.Stop() {
-				<-timer.C
-			}
-		case <-timer.C:
 		}
 		l.commit()
 	}
@@ -508,17 +515,23 @@ func (l *Log) commit() {
 }
 
 // WaitDurable blocks until every record with LSN ≤ upTo is durable, or
-// the log fails or closes. It is the adaptive-mode ack gate: callers
-// park here while the committer batches fsyncs across connections. In
-// legacy mode it degrades to Sync, preserving the caller-driven group
-// commit.
+// the log fails or closes. It is the ack gate: callers park here while
+// the committer batches fsyncs across connections. With a zero window
+// the first waiter opens it, and waiters arriving while that fsync
+// runs share the next one.
 func (l *Log) WaitDurable(upTo uint64) error {
 	if l.durable.Load() >= upTo {
 		return nil
 	}
-	if !l.adaptive() {
-		return l.Sync(upTo)
+	if l.cfg.SyncEvery == 0 {
+		signal(l.kick)
 	}
+	return l.waitDurable(upTo)
+}
+
+// waitDurable parks until the durable watermark reaches upTo, the log
+// fails, or it closes.
+func (l *Log) waitDurable(upTo uint64) error {
 	if l.closed.Load() {
 		return ErrClosed
 	}
@@ -606,25 +619,22 @@ func parseRecord(b []byte) (Record, bool) {
 	return r, true
 }
 
-// Sync makes every record with LSN ≤ upTo durable, group-committing
-// whatever else has been appended meanwhile. Returns immediately when
-// a concurrent Sync already covered upTo. After an I/O failure the
-// error is sticky: the durable prefix is unknown, so nothing may be
-// acked on this log again.
+// Sync closes the commit window now and waits until every record with
+// LSN ≤ upTo is durable, group-committing whatever else has been
+// appended meanwhile; an upTo past LastLSN waits for every record
+// assigned so far. Returns immediately when an earlier commit already
+// covered upTo. After an I/O failure the error is sticky: the durable
+// prefix is unknown, so nothing may be acked on this log again.
 func (l *Log) Sync(upTo uint64) error {
 	if l.durable.Load() >= upTo {
 		return nil
 	}
-	if l.closed.Load() {
-		return ErrClosed
+	if last := l.LastLSN(); upTo > last {
+		upTo = last
 	}
-	l.flushMu.Lock()
-	defer l.flushMu.Unlock()
-	if l.durable.Load() >= upTo { // a group leader covered us while we waited
-		return nil
-	}
-	_, err := l.flushLocked(true)
-	return err
+	signal(l.kick)
+	signal(l.kickBytes)
+	return l.waitDurable(upTo)
 }
 
 // flushLocked writes the staged buffer to the active segment and, when
@@ -806,11 +816,11 @@ func (l *Log) WrittenSize() int64 {
 }
 
 // Close flushes and fsyncs staged records and closes the active
-// segment. The log cannot be used afterwards. In adaptive mode the
-// committer is stopped first (outside flushMu, so an in-flight commit
-// finishes rather than deadlocks), then the final flush covers
-// whatever it had not yet committed, then parked waiters are released:
-// each finds its record durable or the log closed — never a hang.
+// segment. The log cannot be used afterwards. The committer is stopped
+// first (outside flushMu, so an in-flight commit finishes rather than
+// deadlocks), then the final flush covers whatever it had not yet
+// committed, then parked waiters are released: each finds its record
+// durable or the log closed — never a hang.
 func (l *Log) Close() error {
 	if l.closed.Swap(true) {
 		return nil
@@ -826,12 +836,9 @@ func (l *Log) Close() error {
 	return err
 }
 
-// stopCommitter shuts down the adaptive committer goroutine and waits
-// for it to exit. No-op in legacy mode.
+// stopCommitter shuts down the committer goroutine and waits for it to
+// exit.
 func (l *Log) stopCommitter() {
-	if !l.adaptive() {
-		return
-	}
 	close(l.stopc)
 	<-l.committerDone
 }

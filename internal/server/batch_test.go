@@ -175,10 +175,11 @@ func TestServeCoalescedAmortisation(t *testing.T) {
 	}
 }
 
-// TestServeCoalescingOnOff serves the same pipelined mutation sequence
-// once coalesced and once with Config.DisableCoalescing, where every
-// mutation is applied on its own as a run of one. Both must answer the
-// same statuses, leave the same Len and log the same oplog records.
+// TestServeCoalescingOnOff serves the same mutation sequence once
+// pipelined, so the server coalesces it, and once one request at a time,
+// waiting for each response, so every mutation is applied on its own as
+// a run of one. Both must answer the same statuses, leave the same Len
+// and log the same oplog records.
 func TestServeCoalescingOnOff(t *testing.T) {
 	seq := []wire.Request{
 		{Op: wire.OpPut, Key: layout.Key{Lo: 1}, Value: 10},
@@ -192,27 +193,35 @@ func TestServeCoalescingOnOff(t *testing.T) {
 		n        uint64
 		recs     []oplog.Record
 	}
-	serve := func(disable bool) outcome {
+	serve := func(oneAtATime bool) outcome {
 		base := filepath.Join(t.TempDir(), "oplog")
 		lg, err := oplog.Open(base, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, addr := startServer(t, grouphash.Options{Capacity: 1 << 12},
-			Config{Oplog: lg, DisableCoalescing: disable})
+		s, addr := startServer(t, grouphash.Options{Capacity: 1 << 12}, Config{Oplog: lg})
 		c := dial(t, addr)
-		resps, err := c.Do(seq)
-		if err != nil {
-			t.Fatal(err)
-		}
 		var o outcome
-		for _, r := range resps {
-			o.statuses = append(o.statuses, r.Status)
+		send := [][]wire.Request{seq}
+		if oneAtATime {
+			send = nil
+			for i := range seq {
+				send = append(send, seq[i:i+1])
+			}
+		}
+		for _, reqs := range send {
+			resps, err := c.Do(reqs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range resps {
+				o.statuses = append(o.statuses, r.Status)
+			}
 		}
 		if o.n, err = c.Len(); err != nil {
 			t.Fatal(err)
 		}
-		if disable {
+		if oneAtATime {
 			// Every mutation, failed ones included, went through
 			// ApplyBatch alone: five runs of exactly one op.
 			if h := s.coalesceSize.Snapshot(); h.Count != 5 || h.Sum != 5 {

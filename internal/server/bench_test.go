@@ -16,7 +16,7 @@ import (
 
 // benchAckedWrite measures the end-to-end cost of one acked write
 // through the server over loopback TCP — the durability tax the
-// adaptive group commit is built to cut. The client streams 64-op
+// group-commit window is built to cut. The client streams 64-op
 // pipelined batches with 8 in flight, the shape the apply/ack
 // decoupling targets: the reader applies the next burst while the
 // acker waits out the commit window for the previous one.
@@ -204,8 +204,9 @@ func BenchmarkServeBatchPipeline(b *testing.B) {
 }
 
 // BenchmarkAckedWrite compares the acked-write path without a log,
-// with the legacy synchronous fsync-per-batch log, and with the
-// shipped adaptive group-commit window.
+// with the zero commit window (the "legacy" row: one fsync per
+// pipelined batch, once its acks wait), and with the shipped 100µs
+// group-commit window.
 func BenchmarkAckedWrite(b *testing.B) {
 	for _, mode := range []struct {
 		name    string

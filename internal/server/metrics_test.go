@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
@@ -11,6 +10,7 @@ import (
 	"grouphash/internal/layout"
 	"grouphash/internal/oplog"
 	"grouphash/internal/stats"
+	"grouphash/internal/wire"
 )
 
 // TestMetricsExposition is the acceptance test for the scrape surface:
@@ -170,9 +170,10 @@ func TestMetricsExposition(t *testing.T) {
 }
 
 // TestStatsFormats pins the OpStats format selector: the previously
-// ignored request Value now chooses text (0), JSON (1) or Prometheus
-// (2), with unknown values falling back to text — so old clients that
-// sent garbage in Value keep getting what they always got.
+// ignored request Value now chooses text (0) or Prometheus (2), with
+// unknown values — the retired JSON selector 1 among them — falling
+// back to text, so old clients that sent garbage in Value keep getting
+// what they always got.
 func TestStatsFormats(t *testing.T) {
 	_, addr := startServer(t, grouphash.Options{Capacity: 1 << 12}, Config{})
 	c := dial(t, addr)
@@ -188,19 +189,12 @@ func TestStatsFormats(t *testing.T) {
 		t.Fatalf("text stats missing counters: %q", text)
 	}
 
-	js, err := c.ServerStatsJSON()
+	resps, err := c.Do([]wire.Request{{Op: wire.OpStats, Value: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var doc struct {
-		Writes uint64 `json:"Writes"`
-		Items  uint64 `json:"Items"`
-	}
-	if err := json.Unmarshal([]byte(js), &doc); err != nil {
-		t.Fatalf("JSON stats do not parse: %v\n%s", err, js)
-	}
-	if doc.Writes < 1 || doc.Items < 1 {
-		t.Fatalf("JSON stats miscounted: %+v", doc)
+	if got := string(resps[0].Extra); resps[0].Status != wire.StatusOK || !strings.Contains(got, "reads=") || !strings.Contains(got, "writes=1 ") {
+		t.Fatalf("selector 1 answered status %d, %q; want the text dump", resps[0].Status, got)
 	}
 
 	prom, err := c.ServerMetrics()

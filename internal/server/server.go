@@ -28,10 +28,10 @@
 // mutating request is appended to the operation log (internal/oplog)
 // inside the store's own per-stripe critical section, and its response
 // is released only when the log's durable-LSN watermark passes the
-// record: one group-committed fsync per pipelined batch in legacy
-// mode, or per adaptive commit window (fsync every T µs or B bytes,
-// whichever first, batching across connections) when the log runs
-// adaptively. Periodic snapshots bound the log: each image records the
+// record. The log's committer fsyncs once per commit window: every T µs
+// or B bytes, whichever first, batching across connections, or — with
+// T = 0 — as soon as the first ack waits, one fsync per pipelined
+// batch. Periodic snapshots bound the log: each image records the
 // LSN it covers, the log rotates at the capture point (under a
 // full-store quiesce, so mark and image always agree), and
 // fully-covered segments are deleted once the image is durable. Recovery is LoadSnapshotMark + Store.ReplayOplog:
@@ -50,7 +50,6 @@ package server
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -96,13 +95,6 @@ type Config struct {
 	// class counters, oplog metrics — stays on. Used by ghbench's
 	// before/after overhead experiment.
 	DisableTiming bool
-	// DisableCoalescing turns off the transparent batching of
-	// pipelined single-op mutations: every mutation is applied (and
-	// oplog-appended) on its own, the pre-batching behaviour. Explicit
-	// OpBatch frames still batch. A benchmarking knob — ghbench's
-	// batch experiment uses it to measure what coalescing buys; never
-	// set it on a production server.
-	DisableCoalescing bool
 	// Logf receives operational log lines; nil discards them.
 	Logf func(format string, args ...any)
 }
@@ -289,14 +281,21 @@ func (s *Server) ListenAndServe(addr string) error {
 }
 
 // Serve accepts connections on ln until Drain is called, then returns
-// nil (any non-drain accept failure is returned as an error). The
-// snapshot ticker starts here and stops at drain.
+// nil (any non-drain accept failure is returned as an error); after a
+// Drain or Abort it closes ln and returns nil at once. The snapshot
+// ticker starts here and stops at drain.
 func (s *Server) Serve(ln net.Listener) error {
 	s.mu.Lock()
 	s.ln = ln
 	s.mu.Unlock()
 	s.serving.Store(true)
 	defer close(s.acceptDone)
+	if s.draining.Load() {
+		// Drain or Abort ran before ln was registered, so it had no
+		// listener to close.
+		ln.Close()
+		return nil
+	}
 	if s.cfg.SnapshotPath != "" && s.cfg.SnapshotEvery > 0 {
 		s.loops.Add(1)
 		go s.snapshotLoop()
@@ -554,15 +553,14 @@ type pendingResp struct {
 // while every response still answers its own request in order.
 //
 // The acker goroutine releases chunks: one WaitDurable on the chunk's
-// highest LSN (in adaptive mode the committer goroutine owns the
-// fsync clock, and one fsync releases every connection waiting in the
-// window), then write and flush. Decoupling apply from ack is what
-// makes the commit window cheap: the reader keeps applying and
-// staging log records for the NEXT burst while the acker waits out
-// the window for the previous one, so a deep-pipelining client never
-// stalls the store on an fsync. If a wait fails, the connection is
-// torn down with its responses unwritten — nothing non-durable is
-// ever acked.
+// highest LSN (the log's committer goroutine owns the fsync clock, and
+// one fsync releases every connection waiting in the window), then
+// write and flush. Decoupling apply from ack is what makes the commit
+// window cheap: the reader keeps applying and staging log records for
+// the NEXT burst while the acker waits out the window for the previous
+// one, so a deep-pipelining client never stalls the store on an fsync.
+// If a wait fails, the connection is torn down with its responses
+// unwritten — nothing non-durable is ever acked.
 func (s *Server) handle(conn net.Conn) {
 	defer func() {
 		s.mu.Lock()
@@ -614,9 +612,6 @@ func (s *Server) handle(conn net.Conn) {
 			}
 			pc.resps = append(pc.resps, pr)
 			ba.stage(req, len(pc.resps)-1)
-			if s.cfg.DisableCoalescing {
-				ba.flushCoalesced(pc.resps, timing) // run of one: per-op apply and append
-			}
 		default:
 			ba.flushCoalesced(pc.resps, timing)
 			var pr pendingResp
@@ -823,8 +818,6 @@ func (s *Server) Latency() *stats.HistSnapshot {
 // unknown format selectors fall back to the text dump.
 func (s *Server) statsExtra(format uint64) []byte {
 	switch format {
-	case wire.StatsFormatJSON:
-		return s.StatsJSON()
 	case wire.StatsFormatProm:
 		var buf bytes.Buffer
 		s.registry.WritePrometheus(&buf)
@@ -860,46 +853,4 @@ func (s *Server) StatsText() string {
 		m.OplogDurableLSN, m.OplogLastLSN,
 		m.Expansions, s.eng.Expanding(), s.draining.Load(),
 		us(0.5), us(0.9), us(0.99), sample.Max()/1e3, sample.Count)
-}
-
-// statsDoc is the machine-readable OpStats JSON document: the Metrics
-// counters plus the store/drain state and latency quantiles the text
-// dump carries.
-type statsDoc struct {
-	Metrics
-	// Items and LoadFactor describe the store's occupancy.
-	Items      uint64  `json:"Items"`
-	LoadFactor float64 `json:"LoadFactor"`
-	// Expanding and Draining are the live state flags.
-	Expanding bool `json:"Expanding"`
-	Draining  bool `json:"Draining"`
-	// LatencyUs carries request-latency quantiles in microseconds over
-	// N observations.
-	LatencyUs struct {
-		P50, P90, P99, Max float64
-		N                  uint64
-	} `json:"LatencyUs"`
-}
-
-// StatsJSON renders the same counters as StatsText as a JSON document
-// (the OpStats StatsFormatJSON payload).
-func (s *Server) StatsJSON() []byte {
-	doc := statsDoc{
-		Metrics:    s.Stats(),
-		Items:      s.eng.Len(),
-		LoadFactor: s.eng.LoadFactor(),
-		Expanding:  s.eng.Expanding(),
-		Draining:   s.draining.Load(),
-	}
-	sample := s.Latency()
-	doc.LatencyUs.P50 = sample.Quantile(0.5) / 1e3
-	doc.LatencyUs.P90 = sample.Quantile(0.9) / 1e3
-	doc.LatencyUs.P99 = sample.Quantile(0.99) / 1e3
-	doc.LatencyUs.Max = sample.Max() / 1e3
-	doc.LatencyUs.N = sample.Count
-	b, err := json.Marshal(doc)
-	if err != nil { // unreachable: the document is plain numbers
-		return []byte(`{}`)
-	}
-	return b
 }

@@ -486,7 +486,7 @@ func TestDrainRefusesBufferedWrites(t *testing.T) {
 // fires while the client keeps the pipe full). Saturate one
 // connection with far more writes than the buffer holds and assert,
 // at every ack the client observes, that the oplog's durable LSN has
-// already passed it.
+// already passed it. The "legacy" row is the zero commit window.
 func TestPipelinedSpillNeverAcksUnsynced(t *testing.T) {
 	for _, mode := range []struct {
 		name string
@@ -638,6 +638,50 @@ func TestConnsActiveNeverUnderflows(t *testing.T) {
 	sampler.Wait()
 	if got := s.Stats().ConnsAccepted; got < dialers*perDialer {
 		t.Fatalf("ConnsAccepted = %d, want at least %d", got, dialers*perDialer)
+	}
+}
+
+// TestServeAfterDrainReturns pins shutdown before start: a Serve that
+// begins after Drain or Abort must close its listener and return nil,
+// not accept forever.
+func TestServeAfterDrainReturns(t *testing.T) {
+	for _, stop := range []struct {
+		name string
+		fn   func(*Server)
+	}{
+		{"drain", func(s *Server) { s.Drain() }},
+		{"abort", (*Server).Abort},
+	} {
+		t.Run(stop.name, func(t *testing.T) {
+			st, err := grouphash.New(grouphash.Options{Capacity: 1 << 10, Concurrent: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := New(Config{Engine: st, Logf: t.Logf})
+			if err != nil {
+				t.Fatal(err)
+			}
+			stop.fn(s)
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
+			done := make(chan error, 1)
+			go func() { done <- s.Serve(ln) }()
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatalf("Serve after %s returned %v", stop.name, err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("Serve still accepting 5s after %s", stop.name)
+			}
+			if c, err := net.DialTimeout("tcp", ln.Addr().String(), time.Second); err == nil {
+				c.Close()
+				t.Fatal("listener still open after Serve returned")
+			}
+		})
 	}
 }
 

@@ -45,11 +45,10 @@ import (
 // make Len exceed the count.
 //
 // The whole gauntlet runs once per oplog commit configuration: the
-// legacy caller-driven Sync mode and two adaptive (SyncEvery,
-// SyncBytes) windows — the durability contract must be identical no
-// matter who owns the fsync clock. The adaptive legs preallocate
-// segments, so the torn-tail logic also runs against zero-filled
-// files.
+// zero commit window (the "legacy" row) and two timed (SyncEvery,
+// SyncBytes) windows — the durability contract must be identical
+// whatever the window. The timed legs preallocate segments, so the
+// torn-tail logic also runs against zero-filled files.
 func TestCrashTorture(t *testing.T) {
 	for _, tc := range []struct {
 		name   string

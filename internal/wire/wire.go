@@ -64,16 +64,16 @@ const (
 
 // OpStats payload formats, carried in the request's Value field (which
 // OpStats previously ignored — old clients send 0 and get text).
+// Selector 1 is retired (it chose a JSON document) and falls back to
+// text like any unknown selector; Prometheus keeps its wire value 2 so
+// existing clients keep working.
 const (
 	// StatsFormatText selects the human-readable one-line text dump.
-	StatsFormatText = uint64(iota)
-	// StatsFormatJSON selects a machine-readable JSON document of the
-	// same counters and latency quantiles.
-	StatsFormatJSON
+	StatsFormatText uint64 = 0
 	// StatsFormatProm selects the Prometheus text exposition of the
 	// server's metrics registry (the same bytes GET /metrics serves),
 	// truncated at a line boundary if it exceeds the frame limit.
-	StatsFormatProm
+	StatsFormatProm uint64 = 2
 )
 
 // Status codes carried in the first response byte.
